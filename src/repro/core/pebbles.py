@@ -13,7 +13,7 @@ The FLSM rules implemented here (paper chapter 3):
   guard.  Data is rewritten only (a) in the last level, where fragments
   must merge with a full guard, and (b) in the second-to-last level when
   merging into the last level would cost more than
-  ``last_level_merge_io_ratio`` times the input (section 3.4).
+  ``LAST_LEVEL_MERGE_IO_RATIO`` times the input (section 3.4).
 * An sstable that an uncommitted guard would split is not rewritten in its
   own level: it is compacted down to the next level (section 3.3).
 * Guard deletion is asynchronous and metadata-only: the deleted guard's
@@ -30,19 +30,30 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.guards import Guard, GuardedLevel, GuardPicker
-from repro.engines.base import Entry, LSMStoreBase
+from repro.engines.base import CompactionJob, Entry, LSMStoreBase
 from repro.engines.options import StoreOptions
 from repro.memtable.memtable import GetResult
 from repro.sim.storage import IoAccount, SimulatedStorage
-from repro.sstable import SSTableBuilder, compaction_iterator, merging_iterator
+from repro.sstable import SSTableBuilder
 from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
 from repro.util.murmur import murmur3_64
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
+
+
+#: Rewrite a second-to-last-level guard in place instead of pushing it
+#: into the last level when the merges that push would force cost at
+#: least this many times its own bytes (the paper's 25x, section 3.4).
+LAST_LEVEL_MERGE_IO_RATIO = 25.0
+
+
+def _guard_marker(key: Optional[bytes]) -> Tuple[int, bytes]:
+    """The MANIFEST marker and key recording a file's guard."""
+    return (GUARD_SENTINEL, b"") if key is None else (GUARD_KEY, key)
 
 
 def _key_label(key: Optional[bytes]) -> str:
@@ -138,7 +149,6 @@ class PebblesDBStore(LSMStoreBase):
         #: but not yet applied to the level (the job is in flight).
         self._committing: Set[Tuple[int, bytes]] = set()
         self._pending_guard_deletions: Set[bytes] = set()
-        self._busy: Set[int] = set()
         self._picker = GuardPicker(
             opts.top_level_bits, opts.bit_decrement, opts.num_levels
         )
@@ -238,19 +248,24 @@ class PebblesDBStore(LSMStoreBase):
         self.executor.wait_all()
         if any(f.overlaps(lo, hi) for f in self._level0):
             if self._claims_available(self._level0_claims()):
-                if not self._submit_level0_protected():
+                if not self._submit_level0_compaction():
                     return
                 self.executor.wait_all()
+        self._compact_guards_down(lambda f: f.overlaps(lo, hi))
+
+    def _compact_guards_down(self, selected: Callable[[FileMetadata], bool]) -> None:
+        """Compact every idle guard holding a ``selected`` file, level by
+        level from Level 1 down."""
         for level in range(1, self.options.num_levels):
             guarded = self._guarded[level]
             assert guarded is not None
             for guard in list(guarded.guards()):
                 if not guard.files or self._guard_busy(guard):
                     continue
-                if not any(f.overlaps(lo, hi) for f in guard.files):
+                if not any(selected(f) for f in guard.files):
                     continue
                 if self._claims_available(self._guard_claims(level, guard)):
-                    if not self._submit_guard_protected(level, guard):
+                    if not self._submit_guard_compaction(level, guard):
                         return
                     self.executor.wait_all()
             self.executor.wait_all()
@@ -616,8 +631,8 @@ class PebblesDBStore(LSMStoreBase):
             idx = self._dispatch_policy(candidates) % len(candidates)
         kind, level, guard, _reason = candidates[idx]
         if kind == "level0":
-            return self._submit_level0_protected()
-        return self._submit_guard_protected(level, guard)
+            return self._submit_level0_compaction()
+        return self._submit_guard_compaction(level, guard)
 
     def _collect_candidates(self) -> List[Tuple[str, int, Optional[Guard], str]]:
         """Runnable compaction candidates, in deterministic priority order.
@@ -677,27 +692,15 @@ class PebblesDBStore(LSMStoreBase):
         return candidates
 
     # ------------------------------------------------------------------
-    # Fault-protected submission (see LSMStoreBase._run_protected)
+    # Fault rollback (see LSMStoreBase._run_protected)
     # ------------------------------------------------------------------
-    def _submit_level0_protected(self) -> bool:
-        self._run_protected("compaction", self._submit_level0_compaction)
-        return self._background_error is None
-
-    def _submit_guard_protected(self, level: int, guard: Guard) -> bool:
-        self._run_protected(
-            "compaction", lambda: self._submit_guard_compaction(level, guard)
-        )
-        return self._background_error is None
-
     def _capture_background_state(self):
-        # Everything a compaction submit mutates before its job is queued:
-        # busy files, conflict-map claims and outflow accounting, the
+        # Everything else a compaction submit mutates before its job is
+        # queued: conflict-map claims and outflow accounting, the
         # guard-commit bookkeeping, and the seek-compaction inputs.
         return (
-            set(self._busy),
             dict(self._claims),
             dict(self._inflight_outflow),
-            self._compactions_inflight,
             [set(keys) for keys in self._uncommitted],
             set(self._committing),
             list(self._touched_guards),
@@ -707,10 +710,8 @@ class PebblesDBStore(LSMStoreBase):
 
     def _restore_background_state(self, snapshot) -> None:
         (
-            self._busy,
             self._claims,
             self._inflight_outflow,
-            self._compactions_inflight,
             self._uncommitted,
             self._committing,
             self._touched_guards,
@@ -719,11 +720,8 @@ class PebblesDBStore(LSMStoreBase):
         ) = snapshot
 
     def _reset_scheduling_state(self) -> None:
-        # resume() runs after wait_all(): any remaining marker is stale.
-        self._busy.clear()
         self._claims.clear()
         self._inflight_outflow.clear()
-        self._compactions_inflight = 0
 
     def _guard_busy(self, guard: Guard) -> bool:
         return any(f.number in self._busy for f in guard.files)
@@ -734,12 +732,10 @@ class PebblesDBStore(LSMStoreBase):
     def _scheduler_mode(self) -> str:
         return self.options.compaction_scheduler
 
-    def _max_parallel_compactions(self) -> int:
-        cap = self.options.max_parallel_compactions
-        return cap if cap is not None else self.executor.workers
-
     def _has_parallel_slot(self) -> bool:
-        return len(self._claims) < self._max_parallel_compactions()
+        # One in-flight job per background worker: more would only queue
+        # on busy timelines while inflating write amplification.
+        return len(self._claims) < self.executor.workers
 
     @staticmethod
     def _ranges_overlap(
@@ -882,7 +878,7 @@ class PebblesDBStore(LSMStoreBase):
                 and self._has_parallel_slot()
                 and self._claims_available(self._guard_claims(level, guard))
             ):
-                if not self._submit_guard_protected(level, guard):
+                if not self._submit_guard_compaction(level, guard):
                     return submitted
                 submitted = True
         # Aggressive level compaction: push small levels down.
@@ -901,7 +897,7 @@ class PebblesDBStore(LSMStoreBase):
                                 self._guard_claims(level, guard)
                             )
                         ):
-                            if not self._submit_guard_protected(level, guard):
+                            if not self._submit_guard_compaction(level, guard):
                                 return submitted
                             submitted = True
                     break
@@ -910,104 +906,66 @@ class PebblesDBStore(LSMStoreBase):
     # ------------------------------------------------------------------
     # Level 0 -> Level 1
     # ------------------------------------------------------------------
-    def _submit_level0_compaction(self) -> None:
-        inputs = list(self._level0)
-        for meta in inputs:
-            self._busy.add(meta.number)
-        token = self._acquire_claims(
-            self._level0_claims(), 0, sum(f.file_size for f in inputs)
-        )
-        acct = self.storage.background_account(self.prefix + "compaction.guard.L0")
-        gcctx = self._vlog_context(acct)
-        edit = VersionEdit()
-        new_keys, straddlers = self._commit_target_guards(1, None, None, edit)
-        try:
-            placements, merged_away = self._compact_stream_into(
-                inputs, 1, acct, edit, extra_inputs=straddlers,
-                new_keys=new_keys, gcctx=gcctx,
+    def _submit_level0_compaction(self) -> bool:
+        """Push all of Level 0 into Level 1; False once degraded."""
+
+        def shape(job: CompactionJob) -> None:
+            inputs = list(self._level0)
+            for meta in inputs:
+                self._busy.add(meta.number)
+            job.claim = self._acquire_claims(
+                self._level0_claims(), 0, sum(f.file_size for f in inputs)
             )
-        except BaseException:
-            if gcctx is not None:
-                gcctx.abandon()
-            raise
-        self._finalize_compaction_job(
-            0, inputs + straddlers + merged_away, placements, edit, acct,
-            new_keys, token, gcctx,
-        )
+            job.consume(0, inputs)
+            new_keys, straddlers = self._commit_target_guards(1, None, None, job.edit)
+            self._compact_stream_into(job, inputs, 1, straddlers, new_keys)
+
+        return self._run_compaction(0, "compaction.guard.L0", "compaction.guard", shape)
 
     # ------------------------------------------------------------------
     # Guard at level i -> level i+1
     # ------------------------------------------------------------------
-    def _submit_guard_compaction(self, level: int, guard: Guard) -> None:
-        opts = self.options
-        inputs = list(guard.files)
-        if not inputs:
-            return
-        claims = self._guard_claims(level, guard)
-        for meta in inputs:
-            self._busy.add(meta.number)
-        token = self._acquire_claims(
-            claims, level, sum(f.file_size for f in inputs)
-        )
-        acct = self.storage.background_account(
-            self.prefix + f"compaction.guard.L{level}"
-        )
-        gcctx = self._vlog_context(acct)
-        edit = VersionEdit()
-        last = opts.num_levels - 1
+    def _submit_guard_compaction(self, level: int, guard: Guard) -> bool:
+        """Compact one guard of ``level``; False once degraded."""
+        if not guard.files:
+            return self._background_error is None
+        last = self.options.num_levels - 1
 
-        if level == last:
-            # Last level: rewrite the guard in place as one sstable.
-            try:
-                placements = self._rewrite_guard_in_place(level, inputs, acct, gcctx)
-            except BaseException:
-                if gcctx is not None:
-                    gcctx.abandon()
-                raise
-            self._finalize_compaction_job(
-                level, inputs, placements, edit, acct, [], token, gcctx
+        def shape(job: CompactionJob) -> None:
+            inputs = list(guard.files)
+            claims = self._guard_claims(level, guard)
+            for meta in inputs:
+                self._busy.add(meta.number)
+            job.claim = self._acquire_claims(
+                claims, level, sum(f.file_size for f in inputs)
             )
-            return
-
-        target = level + 1
-        guarded = self._guarded[level]
-        assert guarded is not None
-        lo, hi = guarded.guard_range(guard)
-        new_keys, straddlers = self._commit_target_guards(target, lo, hi, edit)
-
-        if target == last:
-            # Second-to-last level heuristic (paper section 3.4): estimate
-            # the merge IO forced by full last-level guards; if it exceeds
-            # the threshold, rewrite in place instead of pushing down.
-            input_bytes = sum(f.file_size for f in inputs)
-            merge_bytes = self._estimate_last_level_merge_io(target, lo, hi, input_bytes)
-            if input_bytes and merge_bytes >= opts.last_level_merge_io_ratio * input_bytes:
-                self._rollback_guard_commit(target, new_keys, straddlers, edit)
-                try:
-                    placements = self._rewrite_guard_in_place(
-                        level, inputs, acct, gcctx
-                    )
-                except BaseException:
-                    if gcctx is not None:
-                        gcctx.abandon()
-                    raise
-                self._finalize_compaction_job(
-                    level, inputs, placements, edit, acct, [], token, gcctx
-                )
+            job.consume(level, inputs)
+            if level == last:
+                # Last level: rewrite the guard in place as one sstable.
+                self._rewrite_guard_in_place(job, level, inputs)
                 return
+            target = level + 1
+            guarded = self._guarded[level]
+            assert guarded is not None
+            lo, hi = guarded.guard_range(guard)
+            new_keys, straddlers = self._commit_target_guards(target, lo, hi, job.edit)
+            if target == last:
+                # Second-to-last level heuristic (paper section 3.4):
+                # estimate the merge IO forced by full last-level guards;
+                # if it exceeds the threshold, rewrite in place instead of
+                # pushing down.
+                input_bytes = sum(f.file_size for f in inputs)
+                merge_bytes = self._estimate_last_level_merge_io(
+                    target, lo, hi, input_bytes
+                )
+                if input_bytes and merge_bytes >= LAST_LEVEL_MERGE_IO_RATIO * input_bytes:
+                    self._rollback_guard_commit(target, new_keys, straddlers, job.edit)
+                    self._rewrite_guard_in_place(job, level, inputs)
+                    return
+            self._compact_stream_into(job, inputs, target, straddlers, new_keys)
 
-        try:
-            placements, merged_away = self._compact_stream_into(
-                inputs, target, acct, edit, extra_inputs=straddlers,
-                new_keys=new_keys, gcctx=gcctx,
-            )
-        except BaseException:
-            if gcctx is not None:
-                gcctx.abandon()
-            raise
-        self._finalize_compaction_job(
-            level, inputs + straddlers + merged_away, placements, edit, acct,
-            new_keys, token, gcctx,
+        return self._run_compaction(
+            level, f"compaction.guard.L{level}", "compaction.guard", shape
         )
 
     def _rollback_guard_commit(
@@ -1089,34 +1047,27 @@ class PebblesDBStore(LSMStoreBase):
 
     def _compact_stream_into(
         self,
+        job: CompactionJob,
         inputs: List[FileMetadata],
         target: int,
-        acct: IoAccount,
-        edit: VersionEdit,
-        extra_inputs: Optional[List[FileMetadata]] = None,
-        new_keys: Optional[List[bytes]] = None,
-        gcctx=None,
-    ) -> Tuple[List[Tuple[int, Optional[bytes], FileMetadata]], List[FileMetadata]]:
+        straddlers: List[FileMetadata],
+        new_keys: List[bytes],
+    ) -> None:
         """Merge ``inputs`` and partition the stream by ``target``'s guards.
 
         Partitioning uses the committed guards *plus* the guards this job
         is committing (``new_keys``) — the paper's "old guards and
-        uncommitted guards" rule (section 3.3).  Returns ``(placements,
-        merged_away)``: placements are ``(level, guard_key_or_None, meta)``
-        and ``merged_away`` lists pre-existing files consumed by a forced
-        merge with a full guard.
+        uncommitted guards" rule (section 3.3).  Each segment becomes one
+        fragment appended to its guard, or, when the guard is full, one
+        forced merge with the guard's existing files, which the job then
+        consumes too.
 
-        ``extra_inputs`` (straddler sstables from the target level) are
-        merged into the same stream, so their data re-lands partitioned by
-        the new boundaries.
+        ``straddlers`` (sstables of the target level an uncommitted guard
+        would split) are consumed and merged into the same stream, so
+        their data re-lands partitioned by the new boundaries.
         """
         opts = self.options
-        all_inputs = list(inputs) + list(extra_inputs or [])
-        input_entries = sum(f.num_entries for f in all_inputs)
-        iters = [
-            self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-            for f in all_inputs
-        ]
+        job.consume(target, straddlers)
         # Tombstones cannot be dropped for the stream as a whole: a
         # fragment *appended* to a guard leaves that guard's existing
         # sstables in place, and one of them may hold an older version of
@@ -1125,22 +1076,11 @@ class PebblesDBStore(LSMStoreBase):
         # (forced merge) or the guard is empty, with nothing below.
         is_bottom = self._is_bottom_level(target)
         snapshots = self._active_snapshots()
-        base = compaction_iterator(
-            merging_iterator(iters),
-            drop_tombstones=False,
-            snapshots=snapshots,
-            on_drop=gcctx.on_drop if gcctx is not None else None,
-        )
-        if gcctx is not None:
-            base = gcctx.rewrite(base)
-        stream = _Peekable(base)
+        stream = _Peekable(job.merge(inputs + straddlers, drop_tombstones=False))
         guarded = self._guarded[target]
         assert guarded is not None
         committed = set(guarded.guard_keys)
-        boundaries = sorted(committed | set(new_keys or []))
-        placements: List[Tuple[int, Optional[bytes], FileMetadata]] = []
-        merged_away: List[FileMetadata] = []
-        out_entries = 0
+        boundaries = sorted(committed | set(new_keys))
 
         # Segment i covers [lo_i, hi_i): lo of segment 0 is the open
         # sentinel start; hi of the last segment is open-ended.
@@ -1167,24 +1107,12 @@ class PebblesDBStore(LSMStoreBase):
                 existing = list(guard.files)
                 for meta in existing:
                     self._busy.add(meta.number)
-                ex_iters = [
-                    self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-                    for f in existing
-                ]
-                merged = compaction_iterator(
-                    merging_iterator(ex_iters + [chunk]),
-                    drop_tombstones=is_bottom,
-                    snapshots=snapshots,
-                    on_drop=gcctx.on_drop if gcctx is not None else None,
-                )
+                job.consume(target, existing)
                 # Chunk entries relocated by the outer rewrite now point at
                 # the active segment (never cold), so re-wrapping cannot
                 # relocate the same record twice.
-                if gcctx is not None:
-                    merged = gcctx.rewrite(merged)
-                metas = self._emit_fragment(merged, acct)
-                merged_away.extend(existing)
-                input_entries += sum(f.num_entries for f in existing)
+                merged = job.merge(existing, is_bottom, (chunk,))
+                metas = self._emit_fragment(merged, job.acct)
             else:
                 if is_bottom and guard is not None and not guard.files:
                     oldest_snapshot = snapshots[0] if snapshots else None
@@ -1195,18 +1123,9 @@ class PebblesDBStore(LSMStoreBase):
                         or (oldest_snapshot is not None
                             and oldest_snapshot < entry[0].sequence)
                     )
-                metas = self._emit_fragment(chunk, acct)
+                metas = self._emit_fragment(chunk, job.acct)
             for meta in metas:
-                placements.append((target, lo, meta))
-                out_entries += meta.num_entries
-        acct.charge(
-            self.cpu.charge(
-                "compaction_merge",
-                self.cpu.merge_entry * input_entries
-                + self.cpu.bloom_build_per_key * out_entries,
-            )
-        )
-        return placements, merged_away
+                job.output(target, meta, *_guard_marker(lo))
 
     def _existing_guard_for_segment(
         self,
@@ -1230,38 +1149,15 @@ class PebblesDBStore(LSMStoreBase):
         return guard
 
     def _rewrite_guard_in_place(
-        self, level: int, inputs: List[FileMetadata], acct: IoAccount, gcctx=None
-    ) -> List[Tuple[int, Optional[bytes], FileMetadata]]:
+        self, job: CompactionJob, level: int, inputs: List[FileMetadata]
+    ) -> None:
         """Merge a guard's sstables into one table at the same level."""
-        iters = [
-            self._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
-            for f in inputs
-        ]
-        drop = self._is_bottom_level(level)
-        merged = compaction_iterator(
-            merging_iterator(iters),
-            drop_tombstones=drop,
-            snapshots=self._active_snapshots(),
-            on_drop=gcctx.on_drop if gcctx is not None else None,
-        )
-        if gcctx is not None:
-            merged = gcctx.rewrite(merged)
-        metas = self._emit_fragment(merged, acct)
-        entries = sum(f.num_entries for f in inputs)
-        acct.charge(
-            self.cpu.charge(
-                "compaction_merge",
-                self.cpu.merge_entry * entries
-                + self.cpu.bloom_build_per_key * sum(m.num_entries for m in metas),
-            )
-        )
+        merged = job.merge(inputs, self._is_bottom_level(level))
         guarded = self._guarded[level]
         assert guarded is not None
-        placements = []
-        for meta in metas:
+        for meta in self._emit_fragment(merged, job.acct):
             guard = guarded.find_guard(meta.smallest.user_key)
-            placements.append((level, guard.key, meta))
-        return placements
+            job.output(level, meta, *_guard_marker(guard.key))
 
     def _emit_fragment(self, entries: Iterator[Entry], acct: IoAccount) -> List[FileMetadata]:
         """Write one guard fragment (a single sstable) from a stream."""
@@ -1301,96 +1197,13 @@ class PebblesDBStore(LSMStoreBase):
         return True
 
     # ------------------------------------------------------------------
-    def _finalize_compaction_job(
-        self,
-        source_level: int,
-        consumed: List[FileMetadata],
-        placements: List[Tuple[int, Optional[bytes], FileMetadata]],
-        edit: VersionEdit,
-        acct: IoAccount,
-        new_keys: List[bytes],
-        claim_token: Optional[int] = None,
-        gcctx=None,
-    ) -> None:
-        """Record the edit and submit the job for deferred application."""
-        consumed_levels = {
-            meta.number: self._level_of_file(meta.number) for meta in consumed
-        }
-        for meta in consumed:
-            level = consumed_levels[meta.number]
-            edit.delete_file(level if level is not None else source_level, meta.number)
-        for level, guard_key, meta in placements:
-            if guard_key is None:
-                edit.add_file(level, meta, GUARD_SENTINEL)
-            else:
-                edit.add_file(level, meta, GUARD_KEY, guard_key)
-        edit.next_file_number = self._next_file_number
-        bytes_written = sum(m.file_size for _, _, m in placements)
-        trc = self.tracer
-        parent = trc.current() if trc is not None else None
-        job_ref: List = []
+    # Applying a finished job (see CompactionJob)
+    # ------------------------------------------------------------------
+    _compaction_wait_attr = "conflict_wait"
 
-        def apply() -> None:
-            # MANIFEST first: whether the edit became durable decides
-            # whether the consumed inputs may be deleted (a non-durable
-            # edit means crash recovery replays the old version, which
-            # still references them — deletion then waits for resume()).
-            manifest_acct = self.storage.background_account(self.prefix + "manifest")
-            self._vlog_commit(gcctx, edit)
-            durable = self._append_manifest(edit, manifest_acct)
-            self._vlog_retire(gcctx, durable)
-            for key in new_keys:
-                level = [lvl for lvl, k in edit.new_guards if k == key][0]
-                self._add_guard_live(level, key)
-                self._committing.discard((level, key))
-            for meta in consumed:
-                self._detach_file(meta)
-                self._busy.discard(meta.number)
-                self._retire_or_defer(meta.number, durable)
-            for level, guard_key, meta in placements:
-                guarded = self._guarded[level]
-                assert guarded is not None
-                guarded.add_file(meta)
-            self._release_claims(claim_token)
-            self._stats.compactions += 1
-            self._stats.compaction_bytes_written += bytes_written
-            if trc is not None and job_ref:
-                job = job_ref[0]
-                span = trc.start_span(
-                    "compaction.guard",
-                    kind="background",
-                    parent=parent,
-                    start=job.start,
-                    level=source_level,
-                    guard_lo=_key_label(
-                        min(f.smallest.user_key for f in consumed)
-                        if consumed
-                        else None
-                    ),
-                    guard_hi=_key_label(
-                        max(f.largest.user_key for f in consumed)
-                        if consumed
-                        else None
-                    ),
-                    files_in=len(consumed),
-                    files_out=len(placements),
-                    bytes_in=sum(f.file_size for f in consumed),
-                    bytes_out=bytes_written,
-                    new_guards=len(new_keys),
-                    conflict_wait=job.queue_wait,
-                )
-                span.end(at=job.completion)
-            self._schedule_compactions()
-
-        # GC relocation IO lives on its own ledger account; the job's
-        # duration covers both so the timeline matches the pre-split one.
-        job_seconds = acct.seconds + (gcctx.seconds if gcctx is not None else 0.0)
-        self._compaction_seconds.record(job_seconds)
-        bytes_in = sum(f.file_size for f in consumed)
-        start_at = self._compaction_start_time(bytes_in + bytes_written)
-        job_ref.append(
-            self.executor.submit("compaction", job_seconds, apply, at=start_at)
-        )
+    def _install_guard(self, level: int, key: bytes) -> None:
+        self._add_guard_live(level, key)
+        self._committing.discard((level, key))
 
     def _add_guard_live(self, level: int, key: bytes) -> None:
         guarded = self._guarded[level]
@@ -1405,26 +1218,34 @@ class PebblesDBStore(LSMStoreBase):
             covering.remove_file(meta.number)
             new_guard.files.append(meta)
 
-    def _detach_file(self, meta: FileMetadata) -> None:
-        if meta in self._level0:
+    def _detach_file(self, level: int, meta: FileMetadata) -> None:
+        if level == 0:
             self._level0.remove(meta)
             return
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            for guard in guarded.guards():
-                if any(f.number == meta.number for f in guard.files):
-                    guard.remove_file(meta.number)
-                    return
+        guarded = self._guarded[level]
+        assert guarded is not None
+        # A file lives in the guard covering its smallest key.
+        guarded.find_guard(meta.smallest.user_key).remove_file(meta.number)
 
-    def _level_of_file(self, number: int) -> Optional[int]:
-        if any(f.number == number for f in self._level0):
-            return 0
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
-            if any(f.number == number for f in guarded.all_files()):
-                return level
-        return None
+    def _install_file(self, level: int, meta: FileMetadata) -> None:
+        guarded = self._guarded[level]
+        assert guarded is not None
+        guarded.add_file(meta)
+
+    def _finish_compaction(self, job: CompactionJob) -> None:
+        self._release_claims(job.claim)
+
+    def _compaction_span_attrs(self, job: CompactionJob) -> Dict[str, object]:
+        consumed = [meta for _, meta in job.consumed]
+        return {
+            "guard_lo": _key_label(
+                min(f.smallest.user_key for f in consumed) if consumed else None
+            ),
+            "guard_hi": _key_label(
+                max(f.largest.user_key for f in consumed) if consumed else None
+            ),
+            "new_guards": len(job.edit.new_guards),
+        }
 
     # ==================================================================
     # Guard deletion (paper section 3.3)
@@ -1478,16 +1299,7 @@ class PebblesDBStore(LSMStoreBase):
         if self._level0:
             self._schedule_compactions()
             self.executor.wait_all()
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
-            for guard in list(guarded.guards()):
-                if guard.files and not self._guard_busy(guard):
-                    if self._claims_available(self._guard_claims(level, guard)):
-                        if not self._submit_guard_protected(level, guard):
-                            return
-                        self.executor.wait_all()
-            self.executor.wait_all()
+        self._compact_guards_down(lambda f: True)
 
     def rebalance_guards(self, max_guard_bytes: Optional[int] = None) -> int:
         """Split skewed guards by inserting synthetic guard keys.
@@ -1582,11 +1394,15 @@ class PebblesDBStore(LSMStoreBase):
         guarded.add_file(meta)
 
     def _recover_drop_file(self, level: int, number: int) -> None:
-        self._level0 = [f for f in self._level0 if f.number != number]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            for guard in guarded.guards():
+        if level == 0:
+            self._level0 = [f for f in self._level0 if f.number != number]
+            return
+        guarded = self._guarded[level]
+        assert guarded is not None
+        for guard in guarded.guards():
+            if any(f.number == number for f in guard.files):
                 guard.remove_file(number)
+                return
 
     def _recover_guard(self, level: int, key: bytes) -> None:
         self._add_guard_live(level, key)

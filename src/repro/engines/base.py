@@ -38,6 +38,7 @@ from repro.sstable import (
     DecodedBlockCache,
     SSTableBuilder,
     SSTableReader,
+    compaction_iterator,
     merging_iterator,
 )
 from repro.sstable.format import ValuePointer
@@ -51,6 +52,7 @@ from repro.version import (
     set_current,
 )
 from repro.version.files import FileMetadata
+from repro.version.manifest import GUARD_NONE
 from repro.wal import LogReader, LogWriter, decode_batch, encode_batch
 from repro.engines.options import StoreOptions
 
@@ -382,6 +384,179 @@ def _validate_key(key: bytes) -> None:
         raise InvalidArgumentError(f"keys must be non-empty bytes, got {key!r}")
 
 
+class CompactionJob:
+    """One compaction, from its picked inputs to its applied version edit.
+
+    An engine supplies the *pick* — input files, each recorded with the
+    level it lives in (:meth:`consume`) — and the *shape*: how the merged
+    stream (:meth:`merge`) becomes output files, and where each output
+    lands (:meth:`output`).  The job owns what every LSM engine shares:
+
+    * the background account and the value-log GC context of one
+      compute attempt (abandoned if the attempt fails);
+    * the merge CPU charge and the ``VersionEdit`` deletes and adds;
+    * rate-limited submission and the ``compaction.seconds`` histogram;
+    * the durable-gated apply — GC counters, MANIFEST append, segment
+      and input-file retirement — then stats, span and reschedule.
+
+    A job built without an account is a metadata-only *move*: its
+    consumed files are its outputs, so nothing is written or retired.
+    """
+
+    def __init__(
+        self, store: "LSMStoreBase", level: int, account: Optional[str], span: str
+    ) -> None:
+        self.store = store
+        self.level = level
+        self.span = span
+        self.edit = VersionEdit()
+        self.consumed: List[Tuple[int, FileMetadata]] = []
+        #: ``(level, meta, guard_marker, guard_key)``, as the edit records them.
+        self.outputs: List[Tuple[int, FileMetadata, int, bytes]] = []
+        #: Engine-owned scheduling claim, released when the job applies.
+        self.claim: Optional[int] = None
+        self.merged_entries = 0
+        self.bytes_out = 0
+        self.acct: Optional[IoAccount] = None
+        self.gcctx: Optional[VlogCompactionContext] = None
+        if account is not None:
+            self.acct = store.storage.background_account(store.prefix + account)
+        if account is not None and store._vlog is not None:
+            # Fresh per attempt: a retry must not inherit a failed
+            # attempt's relocations (:meth:`abandon` made those stray
+            # dead).  GC relocation IO goes to its own ``vlog.gc`` ledger
+            # account; the job's duration adds it back in (see submit).
+            self.gcctx = VlogCompactionContext(
+                store._vlog,
+                store.storage.background_account(store.prefix + "vlog.gc"),
+            )
+
+    def consume(self, level: int, metas: List[FileMetadata]) -> None:
+        """Record input files the job deletes from ``level``."""
+        self.consumed.extend((level, meta) for meta in metas)
+
+    def output(
+        self,
+        level: int,
+        meta: FileMetadata,
+        marker: int = GUARD_NONE,
+        guard_key: bytes = b"",
+    ) -> None:
+        """Record one output file the job adds at ``level``."""
+        self.outputs.append((level, meta, marker, guard_key))
+
+    def merge(
+        self,
+        metas: List[FileMetadata],
+        drop_tombstones: bool,
+        extra: Tuple[Iterator[Entry], ...] = (),
+    ) -> Iterator[Entry]:
+        """The compaction stream of ``metas`` (then ``extra`` streams).
+
+        Obsolete versions are dropped (tombstones too when
+        ``drop_tombstones``), and surviving value pointers into cold
+        value-log segments are relocated.
+        """
+        store, acct, gcctx = self.store, self.acct, self.gcctx
+        self.merged_entries += sum(f.num_entries for f in metas)
+        iters = [
+            store._get_reader(f.number, acct).iter_all(acct, cache_insert=False)
+            for f in metas
+        ]
+        merged = compaction_iterator(
+            merging_iterator(iters + list(extra)),
+            drop_tombstones=drop_tombstones,
+            snapshots=store._active_snapshots(),
+            on_drop=gcctx.on_drop if gcctx is not None else None,
+        )
+        return merged if gcctx is None else gcctx.rewrite(merged)
+
+    def abandon(self) -> None:
+        """Discard a failed attempt: relocated copies become stray dead."""
+        if self.gcctx is not None:
+            self.gcctx.abandon()
+
+    def submit(self) -> None:
+        """Build the edit and queue the job on the background executor."""
+        store, edit = self.store, self.edit
+        for level, meta in self.consumed:
+            edit.delete_file(level, meta.number)
+        for output in self.outputs:
+            edit.add_file(*output)
+        if self.acct is None:
+            store._submit_job(
+                "move", 1.0e-5, self._apply, store._schedule_compactions,
+                self.span, self._span_attrs,
+            )
+            return
+        cpu = store.cpu
+        self.acct.charge(
+            cpu.charge(
+                "compaction_merge",
+                cpu.merge_entry * self.merged_entries
+                + cpu.bloom_build_per_key
+                * sum(meta.num_entries for _, meta, _, _ in self.outputs),
+            )
+        )
+        edit.next_file_number = store._next_file_number
+        self.bytes_out = sum(meta.file_size for _, meta, _, _ in self.outputs)
+        # GC relocation IO lives on its own ledger account; the job's
+        # duration covers both so the timeline matches the pre-split one.
+        seconds = self.acct.seconds + (
+            self.gcctx.seconds if self.gcctx is not None else 0.0
+        )
+        store._compaction_seconds.record(seconds)
+        bytes_in = sum(meta.file_size for _, meta in self.consumed)
+        store._submit_job(
+            "compaction", seconds, self._apply, store._schedule_compactions,
+            self.span, self._span_attrs,
+            at=store._compaction_start_time(bytes_in + self.bytes_out),
+        )
+
+    def _apply(self) -> None:
+        store, edit, gcctx = self.store, self.edit, self.gcctx
+        manifest_acct = store.storage.background_account(store.prefix + "manifest")
+        # Value-log GC counters join the edit before the append so recovery
+        # replays the same liveness state (and relocated records are synced
+        # before the manifest can make them reachable).
+        if gcctx is not None:
+            gcctx.commit(edit)
+        # The edit must reach the MANIFEST before any input file dies: if
+        # it does not, crash recovery replays the old version, which still
+        # references the inputs, so their deletion is deferred to resume().
+        # Fully-dead value-log segments follow the same rule.
+        durable = store._append_manifest(edit, manifest_acct)
+        if gcctx is not None:
+            store._deferred_vlog_retirements.extend(gcctx.retire(durable))
+        for level, key in edit.new_guards:
+            store._install_guard(level, key)
+        move = self.acct is None  # a move's inputs are its outputs
+        for level, meta in self.consumed:
+            store._detach_file(level, meta)
+            store._busy.discard(meta.number)
+            if not move:
+                store._retire_or_defer(meta.number, durable)
+        for level, meta, _, _ in self.outputs:
+            store._install_file(level, meta)
+        store._finish_compaction(self)
+        store._stats.compactions += 1
+        store._stats.compaction_bytes_written += self.bytes_out
+
+    def _span_attrs(self, job: Job) -> Dict[str, object]:
+        attrs: Dict[str, object] = {
+            "level": self.level,
+            "files_in": len(self.consumed),
+        }
+        if self.acct is None:
+            return attrs
+        attrs["files_out"] = len(self.outputs)
+        attrs["bytes_in"] = sum(meta.file_size for _, meta in self.consumed)
+        attrs["bytes_out"] = self.bytes_out
+        attrs.update(self.store._compaction_span_attrs(self))
+        attrs[self.store._compaction_wait_attr] = job.queue_wait
+        return attrs
+
+
 class LSMStoreBase(KeyValueStore):
     """Common write path, stalls, table cache, and recovery."""
 
@@ -404,6 +579,8 @@ class LSMStoreBase(KeyValueStore):
         #: range conflicts (used to attribute stop-trigger stall time).
         self._compactions_inflight = 0
         self._l0_conflict_blocked = False
+        #: Numbers of sstables an in-flight compaction reads or rewrites.
+        self._busy: set = set()
         #: Optional dispatch policy for schedule exploration: given the
         #: deterministic list of runnable compaction candidates, returns
         #: the index to submit next (None = engine priority order).
@@ -575,6 +752,28 @@ class LSMStoreBase(KeyValueStore):
 
     def _recover_guard(self, level: int, key: bytes) -> None:
         """Re-install a committed guard (FLSM only)."""
+
+    @abstractmethod
+    def _detach_file(self, level: int, meta: FileMetadata) -> None:
+        """Remove a file a compaction consumed from ``level``."""
+
+    @abstractmethod
+    def _install_file(self, level: int, meta: FileMetadata) -> None:
+        """Add a compaction output file at ``level``."""
+
+    def _install_guard(self, level: int, key: bytes) -> None:
+        """Apply a guard a compaction committed (FLSM only)."""
+
+    def _finish_compaction(self, job: CompactionJob) -> None:
+        """Release the scheduling state an applied job held."""
+        self._note_compaction_inflight(-1)
+
+    #: Span attribute carrying an applied compaction's queue wait.
+    _compaction_wait_attr = "queue_wait"
+
+    def _compaction_span_attrs(self, job: CompactionJob) -> Dict[str, object]:
+        """Engine-specific attributes of a compaction's trace span."""
+        return {}
 
     def _recover_guard_deletion(self, level: int, key: bytes) -> None:
         """Apply a guard deletion (FLSM only)."""
@@ -1340,10 +1539,6 @@ class LSMStoreBase(KeyValueStore):
         )
         acct.charge(cpu_cost)
 
-        trc = self.tracer
-        parent = trc.current() if trc is not None else None
-        job_ref: List[Job] = []
-
         def apply() -> None:
             self._install_flush(metas, edit)
             manifest_acct = self.storage.background_account(self.prefix + "manifest")
@@ -1353,24 +1548,59 @@ class LSMStoreBase(KeyValueStore):
             if self.options.wal_enabled:
                 self._reclaim_wals(edit.log_number, durable)
             self._stats.flushes += 1
-            if trc is not None and job_ref:
-                job = job_ref[0]
-                span = trc.start_span(
-                    "flush",
-                    kind="background",
-                    parent=parent,
-                    start=job.start,
-                    files_out=len(metas),
-                    bytes_out=sum(m.file_size for m in metas),
-                    entries=sum(m.num_entries for m in metas),
-                )
-                span.end(at=job.completion)
+
+        def reschedule() -> None:
             self._maybe_schedule_flush()
             self._schedule_compactions()
 
+        def span_attrs(job: Job) -> Dict[str, object]:
+            return {
+                "files_out": len(metas),
+                "bytes_out": sum(m.file_size for m in metas),
+                "entries": sum(m.num_entries for m in metas),
+            }
+
         self._flush_seconds.record(acct.seconds)
-        self._flush_job = self.executor.submit("flush", acct.seconds, apply)
-        job_ref.append(self._flush_job)
+        self._flush_job = self._submit_job(
+            "flush", acct.seconds, apply, reschedule, "flush", span_attrs
+        )
+
+    def _submit_job(
+        self,
+        kind: str,
+        seconds: float,
+        apply: Callable[[], None],
+        reschedule: Callable[[], None],
+        span: str,
+        span_attrs: Callable[[Job], Dict[str, object]],
+        at: Optional[float] = None,
+    ) -> Job:
+        """Queue a background job on the executor.
+
+        When the job completes, ``apply`` installs its result; with
+        tracing on, a ``span`` from the job's start to its completion is
+        then recorded under the span current at submission; finally
+        ``reschedule`` looks for follow-up work.
+        """
+        trc = self.tracer
+        parent = trc.current() if trc is not None else None
+        job_ref: List[Job] = []
+
+        def run() -> None:
+            apply()
+            if trc is not None and job_ref:
+                job = job_ref[0]
+                trc.start_span(
+                    span,
+                    kind="background",
+                    parent=parent,
+                    start=job.start,
+                    **span_attrs(job),
+                ).end(at=job.completion)
+            reschedule()
+
+        job_ref.append(self.executor.submit(kind, seconds, run, at=at))
+        return job_ref[0]
 
     def _reclaim_wals(self, log_number: Optional[int], durable: bool) -> None:
         """Delete WALs superseded by a flush whose edit is in the MANIFEST.
@@ -1460,12 +1690,15 @@ class LSMStoreBase(KeyValueStore):
         attempt = 0
         while True:
             start_number = self._next_file_number
-            snapshot = self._capture_background_state()
+            snapshot = (
+                set(self._busy),
+                self._compactions_inflight,
+                self._capture_background_state(),
+            )
             try:
                 return compute()
             except TransientIOError as exc:
-                self._discard_attempt(start_number)
-                self._restore_background_state(snapshot)
+                self._discard_attempt(start_number, snapshot)
                 if attempt >= opts.fault_retry_limit:
                     self._set_background_error(kind, exc)
                     return None
@@ -1483,13 +1716,40 @@ class LSMStoreBase(KeyValueStore):
                 )
                 attempt += 1
             except (CorruptionError, StorageError) as exc:
-                self._discard_attempt(start_number)
-                self._restore_background_state(snapshot)
+                self._discard_attempt(start_number, snapshot)
                 self._set_background_error(kind, exc)
                 return None
 
-    def _discard_attempt(self, start_number: int) -> None:
-        """Delete sstables written by a failed compute attempt.
+    def _run_compaction(
+        self,
+        level: int,
+        account: Optional[str],
+        span: str,
+        shape: Callable[[CompactionJob], None],
+    ) -> bool:
+        """Run one compaction with fault retries; False once degraded.
+
+        Each attempt builds a fresh :class:`CompactionJob` (``account``
+        None makes it a metadata-only move), lets the engine's ``shape``
+        pick and write into it, and submits it.  A failed attempt is
+        abandoned and rolled back by :meth:`_run_protected`.
+        """
+
+        def attempt() -> None:
+            job = CompactionJob(self, level, account, span)
+            try:
+                shape(job)
+            except BaseException:
+                job.abandon()
+                raise
+            job.submit()
+
+        self._run_protected("compaction", attempt)
+        return self._background_error is None
+
+    def _discard_attempt(self, start_number: int, snapshot) -> None:
+        """Undo a failed compute attempt: delete the sstables it wrote and
+        restore the scheduling state captured before it ran.
 
         File numbers stay monotonic — the counter is *not* rewound — so a
         stale table- or block-cache entry keyed by number can never alias
@@ -1502,16 +1762,19 @@ class LSMStoreBase(KeyValueStore):
             name = self._sst_name(number)
             if self.storage.exists(name):
                 self.storage.delete(name)
+        self._busy, self._compactions_inflight, engine_state = snapshot
+        self._restore_background_state(engine_state)
 
     def _capture_background_state(self):
-        """Snapshot engine scheduling state a failed attempt must restore."""
+        """Snapshot engine scheduling state a failed attempt must restore
+        (busy files and the in-flight count are restored for every engine)."""
         return None
 
     def _restore_background_state(self, snapshot) -> None:
         """Restore the :meth:`_capture_background_state` snapshot."""
 
     def _reset_scheduling_state(self) -> None:
-        """Drop stale busy/in-flight markers after resume()."""
+        """Drop stale engine scheduling markers after resume()."""
 
     def _append_manifest(self, edit: VersionEdit, account: IoAccount) -> bool:
         """Append an edit to the MANIFEST, retrying transient faults.
@@ -1661,6 +1924,10 @@ class LSMStoreBase(KeyValueStore):
         self._stats.resumes += 1
         if self.tracer is not None:
             self.tracer.point("fault.resume")
+        # resume() runs after wait_all(): no job is in flight, so any
+        # remaining busy or in-flight marker is stale.
+        self._busy.clear()
+        self._compactions_inflight = 0
         self._reset_scheduling_state()
         # Rescheduled work may hit the same fault and re-degrade the
         # store immediately; report the post-reschedule health honestly.
@@ -1675,43 +1942,6 @@ class LSMStoreBase(KeyValueStore):
             self._retire_file(number)
         else:
             self._deferred_retirements.append(number)
-
-    # ------------------------------------------------------------------
-    # Value-log GC hooks (engines call these around compaction jobs)
-    # ------------------------------------------------------------------
-    def _vlog_context(
-        self, account: IoAccount
-    ) -> Optional[VlogCompactionContext]:
-        """Fresh GC context for one compaction compute attempt.
-
-        Fresh per *attempt* — a retried attempt must not inherit the
-        failed one's relocation bookkeeping (``abandon`` turned those
-        copies into stray dead bytes already).
-
-        GC relocation IO is charged to a dedicated ``vlog.gc`` account
-        (not the compaction job's ``account``) so the attribution ledger
-        separates tree rewrites from value-log GC; job durations add
-        :attr:`VlogCompactionContext.seconds` back in, keeping the
-        simulated timeline identical to the single-account scheme.
-        """
-        if self._vlog is None:
-            return None
-        gc_account = self.storage.background_account(self.prefix + "vlog.gc")
-        return VlogCompactionContext(self._vlog, gc_account)
-
-    def _vlog_commit(
-        self, gcctx: Optional[VlogCompactionContext], edit: VersionEdit
-    ) -> None:
-        """Fold a job's GC counters into its edit (before the MANIFEST append)."""
-        if gcctx is not None:
-            gcctx.commit(edit)
-
-    def _vlog_retire(
-        self, gcctx: Optional[VlogCompactionContext], durable: bool
-    ) -> None:
-        """Delete fully-dead segments, durable-gated like sstable retirement."""
-        if gcctx is not None:
-            self._deferred_vlog_retirements.extend(gcctx.retire(durable))
 
     def _switch_wal_file(self) -> None:
         """Abandon the current WAL file after a failed append.

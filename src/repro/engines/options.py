@@ -4,16 +4,17 @@ The paper compares four stores.  Three of them (LevelDB, HyperLevelDB,
 RocksDB) share the leveled-LSM design and differ in configuration and
 compaction policy, so we model them as presets of one engine:
 
-* **leveldb** — 4 MB memtable (scaled), one background worker, lazy
-  round-robin compaction that moves one file at a time.  Lowest write
+* **leveldb** — 4 MB memtable (scaled), one immutable memtable, one
+  background worker, and "wide" compactions of up to four files that
+  start early, at 75% of a level's target size.  Lowest write
   amplification of the LSM trio (Figure 1.1) but the most write stalls.
 * **hyperleveldb** — LevelDB sizes, two background workers, and
-  HyperLevelDB's wider compactions (several files per pass) which finish a
-  backlog faster at the cost of extra rewrites; the paper's baseline.
-* **rocksdb** — 16x larger memtable, relaxed Level-0 limits (20/24), four
-  background workers, and an eager policy that starts compacting a level at
-  85% of its target size — more total IO, matching its 42x amplification
-  in Figure 1.1.
+  HyperLevelDB's "min_overlap" input choice (the window of files whose
+  next-level overlap is smallest), which finishes a backlog with the
+  fewest rewrites; the paper's baseline.
+* **rocksdb** — relaxed Level-0 limits (20/24), one background worker,
+  narrower three-file compactions and no trivial moves — more total IO,
+  matching its 42x amplification in Figure 1.1.
 * **pebblesdb** — HyperLevelDB sizes plus the FLSM options (guard
   probability bits, ``max_sstables_per_guard``) and the section 4
   optimizations, each independently switchable for the ablation benchmark.
@@ -57,9 +58,13 @@ class StoreOptions:
 
     # --- compaction policy -----------------------------------------------
     background_workers: int = 2
-    #: "round_robin" (LevelDB), "wide" (HyperLevelDB: several files/pass).
+    #: How a leveled compaction picks its input files: "wide" takes up to
+    #: ``compaction_max_input_files`` consecutive files from the level's
+    #: round-robin compaction pointer (the leveldb and rocksdb presets);
+    #: "min_overlap" takes the window of that many files whose next-level
+    #: overlap is smallest relative to its size (HyperLevelDB).
     compaction_policy: str = "wide"
-    #: How many input files a "wide" compaction takes per pass.
+    #: How many input files one leveled compaction pass takes.
     compaction_max_input_files: int = 4
     #: Start compacting a level at this fraction of its target size.
     compaction_eagerness: float = 1.0
@@ -102,10 +107,6 @@ class StoreOptions:
     #: the historical whole-level locks.  Leveled engines schedule at
     #: file granularity and ignore this knob.
     compaction_scheduler: str = "guard"
-    #: Cap on concurrently in-flight compaction jobs; ``None`` means one
-    #: per background worker (more would only queue on busy timelines
-    #: while inflating write amplification).
-    max_parallel_compactions: "int | None" = None
 
     #: Device bytes per logical sstable byte; 1.0 = compression off (the
     #: paper's configuration, section 5.1), ~0.5 models snappy.  The WAL
@@ -147,8 +148,6 @@ class StoreOptions:
     #: per entry.  Host-side only (same simulated metrics either way);
     #: the off switch exists for the bench_readpath ablation.
     zero_copy_blocks: bool = True
-    #: Seeks allowed against a file before it is scheduled for compaction.
-    seek_compaction_enabled: bool = True
 
     # --- observability -----------------------------------------------------
     #: Flight-recorder sampling mode: ``"off"`` disables the recorder,
@@ -183,8 +182,6 @@ class StoreOptions:
     bit_decrement: int = 2
     #: Compact a guard into the next level at this many sstables.
     max_sstables_per_guard: int = 4
-    #: Paper's 25x heuristic for rewriting in the second-to-last level.
-    last_level_merge_io_ratio: float = 25.0
     enable_sstable_bloom: bool = True
     enable_parallel_seeks: bool = True
     enable_seek_based_compaction: bool = True
@@ -218,14 +215,12 @@ class StoreOptions:
             raise ValueError("block_cache_bytes must be >= 0")
         if self.top_level_bits < 1 or self.bit_decrement < 0:
             raise ValueError("bad guard probability parameters")
-        if self.compaction_policy not in ("round_robin", "wide", "min_overlap"):
+        if self.compaction_policy not in ("wide", "min_overlap"):
             raise ValueError(f"unknown compaction policy: {self.compaction_policy!r}")
         if self.compaction_scheduler not in ("guard", "level"):
             raise ValueError(
                 f"unknown compaction scheduler: {self.compaction_scheduler!r}"
             )
-        if self.max_parallel_compactions is not None and self.max_parallel_compactions < 1:
-            raise ValueError("max_parallel_compactions must be >= 1 (or None)")
         if self.backpressure not in ("cliff", "graduated"):
             raise ValueError(f"unknown backpressure mode: {self.backpressure!r}")
         from repro.obs.recorder import parse_sample_mode
@@ -248,11 +243,6 @@ class StoreOptions:
             raise ValueError("vlog_segment_bytes must be positive")
         if not 0.0 < self.vlog_gc_dead_ratio <= 1.0:
             raise ValueError("vlog_gc_dead_ratio must be in (0, 1]")
-        from repro.obs.recorder import parse_sample_mode
-
-        parse_sample_mode(self.trace_sample)  # raises ValueError when invalid
-        if self.trace_ring_capacity < 1:
-            raise ValueError("trace_ring_capacity must be >= 1")
 
     def level_target_bytes(self, level: int) -> int:
         """Size target for ``level`` (level 0 is file-count-triggered)."""

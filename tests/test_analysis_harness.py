@@ -169,6 +169,7 @@ class TestOptionValidation:
             ("compression_ratio", 1.5),
             ("top_level_bits", 0),
             ("compaction_policy", "universal"),
+            ("compaction_policy", "round_robin"),
         ]:
             with pytest.raises(ValueError):
                 dataclasses.replace(base, **{field: value})
