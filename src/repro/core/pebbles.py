@@ -28,18 +28,15 @@ switchable for the ablation study.
 
 from __future__ import annotations
 
-import heapq
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.guards import Guard, GuardedLevel, GuardPicker
 from repro.engines.base import CompactionJob, Entry, LSMStoreBase
 from repro.engines.options import StoreOptions
-from repro.memtable.memtable import GetResult
 from repro.sim.storage import IoAccount, SimulatedStorage
 from repro.sstable import SSTableBuilder
-from repro.util.keys import InternalKey, KIND_DELETE, KIND_PUT, KIND_SEEK, MAX_SEQUENCE
-from repro.util.murmur import murmur3_64
+from repro.util.keys import InternalKey, KIND_DELETE
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_KEY, GUARD_NONE, GUARD_SENTINEL
@@ -209,20 +206,6 @@ class PebblesDBStore(LSMStoreBase):
             sizes.append(guarded.size_bytes)
         return sizes
 
-    def sstable_file_numbers(self) -> List[int]:
-        numbers = [f.number for f in self._level0]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            numbers.extend(f.number for f in guarded.all_files())
-        return numbers
-
-    def sstable_sizes(self) -> List[int]:
-        sizes = [f.file_size for f in self._level0]
-        for guarded in self._guarded[1:]:
-            assert guarded is not None
-            sizes.extend(f.file_size for f in guarded.all_files())
-        return sizes
-
     def files_per_level(self) -> List[int]:
         counts = [len(self._level0)]
         for guarded in self._guarded[1:]:
@@ -294,187 +277,71 @@ class PebblesDBStore(LSMStoreBase):
         return counts
 
     # ==================================================================
-    # Reads (paper sections 3.4 and 4.3)
+    # Read-path hooks (paper sections 3.4 and 4.2): below Level 0 each
+    # guard is a run, its sstables overlapping one another
     # ==================================================================
-    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
-        # One body for both the traced and untraced paths (an extra call
-        # per get is measurable); the try/finally is free when nothing
-        # raises.
-        trc = self.tracer
-        span = trc.span("table.search") if trc is not None else None
-        try:
-            # Level 0 first; files may overlap arbitrarily, newest
-            # sequence wins.  One interned probe key serves every table
-            # probed for this lookup (readers would otherwise rebuild it,
-            # and its memoized sort tuple, per file), and one murmur
-            # digest serves every bloom filter screened.
-            probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
-            kh = murmur3_64(key)
-            get_reader = self._get_reader
-            probed = 0
-            bloom_skipped = 0
-            best0: Optional[GetResult] = None
-            level_probed = level_skipped = 0
-            for meta in self._level0:
-                if not meta.overlaps(key, key):
-                    continue
-                reader = get_reader(meta.number, account)
-                if not reader.may_contain(key, account, kh):
-                    level_skipped += 1
-                    continue
-                level_probed += 1
-                result = reader.get(key, snapshot, account, probe)
-                if result.found and (best0 is None or result.sequence > best0.sequence):
-                    best0 = result
-            if level_skipped:
-                self._probe_bloom[0] += level_skipped
-                bloom_skipped += level_skipped
-            if level_probed:
-                self._probe_files[0] += level_probed
-                probed += level_probed
-            if best0 is not None:
-                if span is not None:
-                    span.set(
-                        level=0,
-                        files_probed=probed,
-                        bloom_skipped=bloom_skipped,
-                        found=True,
-                    )
-                return best0
-            # Guarded levels: one guard per level, every sstable in the guard.
-            for level, guarded in enumerate(self._guarded[1:], start=1):
-                assert guarded is not None
-                if not len(guarded) and not guarded.sentinel.files:
-                    continue
-                account.charge(
-                    self.cpu.charge("level_binary_search", self.cpu.level_binary_search)
-                )
-                guard = guarded.find_guard(key)
-                best: Optional[GetResult] = None
-                best_seq = -1
-                level_probed = level_skipped = 0
-                for meta in reversed(guard.files):
-                    if not meta.overlaps(key, key):
-                        continue
-                    reader = get_reader(meta.number, account)
-                    if not reader.may_contain(key, account, kh):
-                        level_skipped += 1
-                        continue
-                    level_probed += 1
-                    result = reader.get(key, snapshot, account, probe)
-                    if result.found and result.sequence > best_seq:
-                        best, best_seq = result, result.sequence
-                if level_skipped:
-                    self._probe_bloom[level] += level_skipped
-                    bloom_skipped += level_skipped
-                if level_probed:
-                    self._probe_files[level] += level_probed
-                    probed += level_probed
-                if best is not None:
-                    if span is not None:
-                        span.set(
-                            level=level,
-                            guard=_key_label(guard.key),
-                            guard_files=len(guard.files),
-                            files_probed=probed,
-                            bloom_skipped=bloom_skipped,
-                            found=True,
-                        )
-                    return best
-            if span is not None:
-                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
-            return GetResult(False, False, None)
-        except BaseException as exc:
-            if span is not None:
-                span.attrs.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            if span is not None:
-                span.end()
+    def _level0_files(self) -> List[FileMetadata]:
+        return self._level0
 
-    # ------------------------------------------------------------------
-    def _table_iterators(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        start_key = start if start is not None else b""
-        probe = InternalKey(start_key, MAX_SEQUENCE, KIND_SEEK)
-        iters: List[Iterator[Entry]] = []
-        positioned_tables = 0
-        for meta in list(self._level0):
-            if meta.largest.user_key < start_key:
-                continue
-            iters.append(self._file_iter(meta, probe, account))
-            positioned_tables += 1
-        parallel_level = self._parallel_seek_level()
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
-            if guarded.size_bytes == 0:
-                continue
-            parallel = (
-                self.options.enable_parallel_seeks and level == parallel_level
-            )
-            iters.append(self._guarded_level_iter(level, start_key, probe, account, parallel))
-            first_guard = guarded.find_guard(start_key)
-            positioned_tables += len(first_guard.files)
-            self._touched_guards.append((level, first_guard.key))
-            if len(self._touched_guards) > 128:
-                del self._touched_guards[:-64]
-        if positioned_tables:
-            account.charge(
-                self.cpu.charge(
-                    "iterator_seek",
-                    self.cpu.iterator_seek_per_table * positioned_tables,
-                )
-            )
-        return iters
+    def _level_count(self) -> int:
+        return len(self._guarded)
 
-    def _file_iter(
-        self, meta: FileMetadata, probe: InternalKey, account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.seek(probe, account)
-        finally:
-            self._unref_file(meta.number)
-
-    def _guarded_level_iter(
-        self,
-        level: int,
-        start_key: bytes,
-        probe: InternalKey,
-        account: IoAccount,
-        parallel: bool,
-    ) -> Iterator[Entry]:
+    def _run_covering(self, level: int, key: bytes) -> Optional[Iterable[FileMetadata]]:
         guarded = self._guarded[level]
         assert guarded is not None
-        guard_snapshots = [list(g.files) for g in guarded.guards_from(start_key)]
-        first = True
-        for files in guard_snapshots:
-            if not files:
-                first = False
-                continue
-            for meta in files:
-                self._ref_file(meta.number)
-            try:
-                if first and parallel and len(files) > 1:
-                    file_iters = self._parallel_position(files, probe, account)
-                elif first:
-                    file_iters = [
-                        self._get_reader(f.number, account).seek(probe, account)
-                        for f in files
-                    ]
-                else:
-                    file_iters = [
-                        self._get_reader(f.number, account).iter_all(account)
-                        for f in files
-                    ]
-                yield from heapq.merge(*file_iters, key=lambda e: e[0])
-            finally:
-                for meta in files:
-                    self._unref_file(meta.number)
-            first = False
+        if not len(guarded) and not guarded.sentinel.files:
+            return None
+        return reversed(guarded.find_guard(key).files)
+
+    def _run_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
+        guarded = self._guarded[level]
+        assert guarded is not None
+        guard = guarded.find_guard(key)
+        return {"guard": _key_label(guard.key), "guard_files": len(guard.files)}
+
+    def _runs_from(self, level: int, start: bytes) -> List[List[FileMetadata]]:
+        guarded = self._guarded[level]
+        assert guarded is not None
+        if guarded.size_bytes == 0:
+            return []
+        return [list(g.files) for g in guarded.guards_from(start)]
+
+    def _runs_down_to(
+        self, level: int, bound: Optional[bytes]
+    ) -> List[List[FileMetadata]]:
+        guarded = self._guarded[level]
+        assert guarded is not None
+        guards = list(guarded.guards())
+        if bound is not None:
+            guards = guards[: guarded.guard_index(bound) + 1]  # 0 = sentinel
+        return [list(g.files) for g in reversed(guards) if g.files]
+
+    def _note_positioned_run(
+        self, level: int, start: bytes, files: List[FileMetadata]
+    ) -> None:
+        # Seek-based compaction input (section 4.2): the guards seeks land in.
+        if not level:
+            return
+        guarded = self._guarded[level]
+        assert guarded is not None
+        self._touched_guards.append((level, guarded.find_guard(start).key))
+        if len(self._touched_guards) > 128:
+            del self._touched_guards[:-64]
+
+    def _position_run(
+        self,
+        level: int,
+        files: List[FileMetadata],
+        probe: InternalKey,
+        account: IoAccount,
+    ) -> List[Iterator[Entry]]:
+        if (
+            self.options.enable_parallel_seeks
+            and len(files) > 1
+            and level == self._parallel_seek_level()
+        ):
+            return self._parallel_position(files, probe, account)
+        return super()._position_run(level, files, probe, account)
 
     def _parallel_position(
         self, files: Sequence[FileMetadata], probe: InternalKey, account: IoAccount
@@ -502,69 +369,6 @@ class PebblesDBStore(LSMStoreBase):
         for switch in switches:
             switch.attach(account)
         return out
-
-    def _table_iterators_reverse(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        bound = start
-        iters: List[Iterator[Entry]] = []
-        for meta in list(self._level0):
-            if bound is not None and meta.smallest.user_key > bound:
-                continue
-            iters.append(self._file_iter_reverse(meta, bound, account))
-        for level in range(1, self.options.num_levels):
-            guarded = self._guarded[level]
-            assert guarded is not None
-            if guarded.size_bytes == 0:
-                continue
-            iters.append(self._guarded_level_iter_reverse(guarded, bound, account))
-        return iters
-
-    def _file_iter_reverse(
-        self, meta: FileMetadata, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.iter_reverse(account, max_user_key=bound)
-        finally:
-            self._unref_file(meta.number)
-
-    def _guarded_level_iter_reverse(
-        self, guarded: GuardedLevel, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        """Walk guards in descending key order, merging each guard's
-        (mutually overlapping) sstables backward."""
-        guards = list(guarded.guards())
-        if bound is not None:
-            idx = guarded.guard_index(bound)  # 0 = sentinel
-            guards = guards[: idx + 1]
-        for guard in reversed(guards):
-            files = list(guard.files)
-            if not files:
-                continue
-            for meta in files:
-                self._ref_file(meta.number)
-            try:
-                file_iters = [
-                    self._get_reader(f.number, account).iter_reverse(
-                        account, max_user_key=bound
-                    )
-                    for f in files
-                ]
-                yield from heapq.merge(
-                    *file_iters, key=lambda e: e[0], reverse=True
-                )
-            finally:
-                for meta in files:
-                    self._unref_file(meta.number)
-
-    def _last_populated_level(self) -> int:
-        for level in range(self.options.num_levels - 1, 0, -1):
-            guarded = self._guarded[level]
-            if guarded is not None and guarded.size_bytes > 0:
-                return level
-        return 0
 
     def _parallel_seek_level(self) -> int:
         """The level parallel seeks apply to (paper section 4.2).

@@ -4,18 +4,19 @@
 get, delete, iterators, range query).  :class:`LSMStoreBase` implements
 everything LSM and FLSM engines have in common — write-ahead logging,
 memtable rotation, background flush scheduling, Level-0 write stalls, the
-table cache, recovery from MANIFEST + WAL — and leaves the shape of
-persistent state (levels of disjoint files vs. levels of guards) to
-subclasses.
+table cache, the read path over per-level runs, recovery from MANIFEST +
+WAL — and leaves the shape of persistent state (levels of disjoint files
+vs. levels of guards) to subclasses.
 """
 
 from __future__ import annotations
 
+import heapq
 from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.ledger import IoLedger
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -31,6 +32,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.memtable import Memtable
+from repro.memtable.memtable import GetResult
 from repro.sim.executor import BackgroundExecutor, Job
 from repro.sim.ratelimit import TokenBucket
 from repro.sim.storage import IoAccount, SimulatedStorage
@@ -42,7 +44,15 @@ from repro.sstable import (
     merging_iterator,
 )
 from repro.sstable.format import ValuePointer
-from repro.util.keys import KIND_DELETE, KIND_PUT, KIND_VPTR, InternalKey
+from repro.util.keys import (
+    KIND_DELETE,
+    KIND_PUT,
+    KIND_SEEK,
+    KIND_VPTR,
+    MAX_SEQUENCE,
+    InternalKey,
+)
+from repro.util.murmur import murmur3_64
 from repro.vlog.log import ValueLog, VlogCompactionContext
 from repro.version import (
     ManifestReader,
@@ -57,6 +67,17 @@ from repro.wal import LogReader, LogWriter, decode_batch, encode_batch
 from repro.engines.options import StoreOptions
 
 Entry = Tuple[InternalKey, bytes]
+
+
+def _entry_key(entry: Entry) -> InternalKey:
+    return entry[0]
+
+
+def _merge_run(iters: List[Iterator[Entry]], reverse: bool = False) -> Iterator[Entry]:
+    """One ordered stream over the (possibly overlapping) files of a run."""
+    if len(iters) == 1:
+        return iters[0]
+    return heapq.merge(*iters, key=_entry_key, reverse=reverse)
 
 
 @dataclass
@@ -558,7 +579,7 @@ class CompactionJob:
 
 
 class LSMStoreBase(KeyValueStore):
-    """Common write path, stalls, table cache, and recovery."""
+    """Common write and read paths, stalls, table cache, and recovery."""
 
     def __init__(
         self,
@@ -732,15 +753,41 @@ class LSMStoreBase(KeyValueStore):
     def _schedule_compactions(self) -> None:
         """Inspect state and submit any needed compaction jobs."""
 
+    # --- read-path hooks (see "Read path" below) ------------------------
     @abstractmethod
-    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount):
-        """Search persistent state; returns a memtable-style GetResult."""
+    def _level0_files(self) -> List[FileMetadata]:
+        """Level-0 files, newest first."""
 
     @abstractmethod
-    def _table_iterators(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        """Positioned entry iterators over persistent state."""
+    def _level_count(self) -> int:
+        """Number of levels, Level 0 included."""
+
+    @abstractmethod
+    def _run_covering(self, level: int, key: bytes) -> Optional[Iterable[FileMetadata]]:
+        """Files of the run of ``level`` covering ``key``, newest first;
+        None when the level is empty."""
+
+    @abstractmethod
+    def _runs_from(self, level: int, start: bytes) -> List[List[FileMetadata]]:
+        """Runs of ``level`` in key order, from the one covering ``start``
+        (which may be empty); [] when there is nothing to read."""
+
+    @abstractmethod
+    def _runs_down_to(
+        self, level: int, bound: Optional[bytes]
+    ) -> List[List[FileMetadata]]:
+        """Runs of ``level`` holding keys <= ``bound`` (None = all), in
+        descending key order."""
+
+    def _note_positioned_run(
+        self, level: int, start: bytes, files: List[FileMetadata]
+    ) -> None:
+        """Seek bookkeeping: a forward iterator positioned ``files`` (a
+        Level-0 file, or the first run of ``level``) at ``start``."""
+
+    def _run_span_attrs(self, level: int, key: bytes) -> Dict[str, object]:
+        """Engine attributes of a ``table.search`` span that hit ``level``."""
+        return {}
 
     @abstractmethod
     def _recover_file(self, level: int, meta: FileMetadata, marker: int, guard_key: bytes) -> None:
@@ -783,12 +830,15 @@ class LSMStoreBase(KeyValueStore):
         """Bytes per level (diagnostics and aggressive compaction)."""
 
     @abstractmethod
-    def sstable_file_numbers(self) -> List[int]:
-        """Numbers of every live sstable."""
-
     def live_files(self) -> List[FileMetadata]:
-        """Metadata of every live sstable (for size estimation)."""
-        raise NotImplementedError
+        """Metadata of every live sstable, Level 0 first."""
+
+    def sstable_file_numbers(self) -> List[int]:
+        return [f.number for f in self.live_files()]
+
+    def sstable_sizes(self) -> List[int]:
+        """Sizes of all live sstables (Table 5.1 input)."""
+        return [f.file_size for f in self.live_files()]
 
     @abstractmethod
     def check_invariants(self) -> None:
@@ -871,12 +921,7 @@ class LSMStoreBase(KeyValueStore):
         self.executor.drain()
         self._op_seeks.value += 1
         self._note_seek()
-        gen = self._visible_entries(key, snapshot)
-
-        def on_next() -> None:
-            self._op_next_calls.value += 1
-
-        return DBIterator(gen, on_next=on_next)
+        return DBIterator(self._visible_entries(key, snapshot), self._count_next)
 
     def scan(
         self, start: Optional[bytes] = None, snapshot: Optional[Snapshot] = None
@@ -892,12 +937,10 @@ class LSMStoreBase(KeyValueStore):
         _validate_key(key)
         self.executor.drain()
         self._op_seeks.value += 1
-        gen = self._visible_entries_reverse(key, snapshot)
+        return DBIterator(self._visible_entries_reverse(key, snapshot), self._count_next)
 
-        def on_next() -> None:
-            self._op_next_calls.value += 1
-
-        return DBIterator(gen, on_next=on_next)
+    def _count_next(self) -> None:
+        self._op_next_calls.value += 1
 
     def scan_reverse(
         self, start: Optional[bytes] = None, snapshot: Optional[Snapshot] = None
@@ -1324,41 +1367,40 @@ class LSMStoreBase(KeyValueStore):
                     self._last_sequence = seq + len(ops) - 1
                     vlog.abandon_tail(pointers)
                     raise
-        if opts.wal_enabled:
-            payload = encode_batch(seq, tree_ops)
-            assert self._wal is not None
-            size_before = self.storage.size(self._wal.name)
-            try:
-                self._wal.append(
-                    payload, self._wal_acct, sync=opts.sync_writes or sync
-                )
-            except StorageError:
-                # The failed append may have left a torn record; a later
-                # record appended after it would be unreachable at replay
-                # (the reader stops at the first bad record), so no
-                # acknowledged write may ever land in this file again.
-                # The memtable was not touched: the write fails cleanly.
-                if self.storage.size(self._wal.name) != size_before:
-                    # Bytes landed despite the failure — a torn record, or
-                    # a *complete* record whose sync failed.  A complete
-                    # record replays at recovery, so burn its sequence
-                    # numbers: were a later acknowledged write to reuse
-                    # them, replay would apply this phantom record first
-                    # and skip the acknowledged one as a duplicate,
-                    # silently replacing acknowledged data.
-                    self._last_sequence = seq + len(ops) - 1
-                if vlog is not None and tree_ops is not ops:
-                    # The batch's value-log records are unreferenced now.
-                    vlog.abandon_tail(pointers)
-                self._switch_wal_file()
-                raise
-            self._wal_acct.charge(
-                self.cpu.charge("wal_record", self.cpu.wal_record * len(ops))
+        payload = encode_batch(seq, tree_ops)
+        assert self._wal is not None
+        size_before = self.storage.size(self._wal.name)
+        try:
+            self._wal.append(
+                payload, self._wal_acct, sync=opts.sync_writes or sync
             )
-            if opts.sync_writes or sync:
-                self._wal_sync_counter.value += 1
-                if span is not None:
-                    span.set(wal_sync=True)
+        except StorageError:
+            # The failed append may have left a torn record; a later
+            # record appended after it would be unreachable at replay
+            # (the reader stops at the first bad record), so no
+            # acknowledged write may ever land in this file again.
+            # The memtable was not touched: the write fails cleanly.
+            if self.storage.size(self._wal.name) != size_before:
+                # Bytes landed despite the failure — a torn record, or
+                # a *complete* record whose sync failed.  A complete
+                # record replays at recovery, so burn its sequence
+                # numbers: were a later acknowledged write to reuse
+                # them, replay would apply this phantom record first
+                # and skip the acknowledged one as a duplicate,
+                # silently replacing acknowledged data.
+                self._last_sequence = seq + len(ops) - 1
+            if vlog is not None and tree_ops is not ops:
+                # The batch's value-log records are unreferenced now.
+                vlog.abandon_tail(pointers)
+            self._switch_wal_file()
+            raise
+        self._wal_acct.charge(
+            self.cpu.charge("wal_record", self.cpu.wal_record * len(ops))
+        )
+        if opts.sync_writes or sync:
+            self._wal_sync_counter.value += 1
+            if span is not None:
+                span.set(wal_sync=True)
         bytes_written = 0
         for i, (kind, key, value) in enumerate(tree_ops):
             self._mem.add(seq + i, kind, key, value)
@@ -1502,8 +1544,7 @@ class LSMStoreBase(KeyValueStore):
         self._imm.append((self._mem, self._wal_number))
         self._mem = Memtable(self.seed + len(self._imm) + self._next_file_number)
         self._wal_number = self._alloc_file_number()
-        if self.options.wal_enabled:
-            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
+        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
         self._maybe_schedule_flush()
 
     # ------------------------------------------------------------------
@@ -1545,8 +1586,7 @@ class LSMStoreBase(KeyValueStore):
             durable = self._append_manifest(edit, manifest_acct)
             self._imm.pop(0)
             self._flush_job = None
-            if self.options.wal_enabled:
-                self._reclaim_wals(edit.log_number, durable)
+            self._reclaim_wals(edit.log_number, durable)
             self._stats.flushes += 1
 
         def reschedule() -> None:
@@ -2053,18 +2093,27 @@ class LSMStoreBase(KeyValueStore):
             cache.popitem(last=False)
         return reader
 
-    def _ref_file(self, number: int) -> None:
-        self._file_refs[number] = self._file_refs.get(number, 0) + 1
+    def _pin_runs(self, runs: List[List[FileMetadata]], pinned: List[int]) -> None:
+        """Reference every file of ``runs``, appending its number to
+        ``pinned``; a file retired while referenced is deleted only when
+        :meth:`_unpin_files` drops the last reference."""
+        refs = self._file_refs
+        for files in runs:
+            for meta in files:
+                refs[meta.number] = refs.get(meta.number, 0) + 1
+                pinned.append(meta.number)
 
-    def _unref_file(self, number: int) -> None:
-        refs = self._file_refs.get(number, 0) - 1
-        if refs <= 0:
-            self._file_refs.pop(number, None)
+    def _unpin_files(self, pinned: List[int]) -> None:
+        refs = self._file_refs
+        for number in pinned:
+            left = refs[number] - 1
+            if left:
+                refs[number] = left
+                continue
+            del refs[number]
             if number in self._doomed_files:
                 self._doomed_files.discard(number)
                 self._drop_table_file(number)
-        else:
-            self._file_refs[number] = refs
 
     def _retire_file(self, number: int) -> None:
         """Delete a file once no iterator holds a reference to it."""
@@ -2082,10 +2131,191 @@ class LSMStoreBase(KeyValueStore):
             self.storage.delete(name)
 
     # ------------------------------------------------------------------
-    # Read helpers
+    # Read path (paper sections 3.4 and 4.2)
+    #
+    # Below Level 0 every level is a key-ordered sequence of disjoint
+    # *runs*: one file in a leveled LSM, one guard's sstables in FLSM.
+    # Engines supply their runs through the read-path hooks; the probe
+    # order, bloom screening, CPU charges, tallies, spans and iterator
+    # pinning live here.
     # ------------------------------------------------------------------
+    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
+        """Search persistent state; returns a memtable-style GetResult.
+
+        Level 0 files are probed in list order, then the run covering
+        ``key`` on each deeper level, newest file first.  The newest
+        sequence found on a level wins and ends the search.
+        """
+        # One body for both the traced and untraced paths (an extra call
+        # per get is measurable); the try/finally is free when nothing
+        # raises.
+        trc = self.tracer
+        span = trc.span("table.search") if trc is not None else None
+        try:
+            # One interned probe key serves every table probed for this
+            # lookup (readers would otherwise rebuild it, and its memoized
+            # sort tuple, per file), and one murmur digest serves every
+            # bloom filter screened.
+            probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
+            kh = murmur3_64(key)
+            get_reader = self._get_reader
+            probed = 0
+            bloom_skipped = 0
+            run: Optional[Iterable[FileMetadata]] = self._level0_files()
+            for level in range(self._level_count()):
+                if level:
+                    run = self._run_covering(level, key)
+                    if run is None:
+                        continue
+                    account.charge(
+                        self.cpu.charge("level_binary_search", self.cpu.level_binary_search)
+                    )
+                best: Optional[GetResult] = None
+                level_probed = level_skipped = 0
+                for meta in run:
+                    if not meta.overlaps(key, key):
+                        continue
+                    reader = get_reader(meta.number, account)
+                    if not reader.may_contain(key, account, kh):
+                        level_skipped += 1
+                        continue
+                    level_probed += 1
+                    result = reader.get(key, snapshot, account, probe)
+                    if result.found and (best is None or result.sequence > best.sequence):
+                        best = result
+                if level_skipped:
+                    self._probe_bloom[level] += level_skipped
+                    bloom_skipped += level_skipped
+                if level_probed:
+                    self._probe_files[level] += level_probed
+                    probed += level_probed
+                if best is not None:
+                    if span is not None:
+                        span.set(
+                            level=level,
+                            files_probed=probed,
+                            bloom_skipped=bloom_skipped,
+                            found=True,
+                        )
+                        if level:
+                            span.set(**self._run_span_attrs(level, key))
+                    return best
+            if span is not None:
+                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
+            return GetResult(False, False, None)
+        except BaseException as exc:
+            if span is not None:
+                span.attrs.setdefault("error", type(exc).__name__)
+            raise
+        finally:
+            if span is not None:
+                span.end()
+
+    def _table_iterators(
+        self, start: bytes, account: IoAccount, pinned: List[int]
+    ) -> List[Iterator[Entry]]:
+        """Entry iterators over persistent state from ``start`` onward.
+
+        Every file the iterators may visit is chosen and referenced now
+        (its number appended to ``pinned``), so writes and compactions
+        running while the caller holds them can neither delete nor
+        re-home what they read.  Level-0 files and the first run of each
+        level are positioned with ``seek``; later runs are read whole.
+        """
+        probe = InternalKey(start, MAX_SEQUENCE, KIND_SEEK)
+        levels = [
+            (0, [[meta]])
+            for meta in self._level0_files()
+            if meta.largest.user_key >= start
+        ]
+        for level in range(1, self._level_count()):
+            runs = self._runs_from(level, start)
+            if runs:
+                levels.append((level, runs))
+        iters: List[Iterator[Entry]] = []
+        positioned = 0
+        for level, runs in levels:
+            self._note_positioned_run(level, start, runs[0])
+            positioned += len(runs[0])
+            self._pin_runs(runs, pinned)
+            iters.append(self._runs_iter(level, runs, probe, account))
+        if positioned:
+            account.charge(
+                self.cpu.charge(
+                    "iterator_seek", self.cpu.iterator_seek_per_table * positioned
+                )
+            )
+        return iters
+
+    def _runs_iter(
+        self,
+        level: int,
+        runs: List[List[FileMetadata]],
+        probe: InternalKey,
+        account: IoAccount,
+    ) -> Iterator[Entry]:
+        for i, files in enumerate(runs):
+            if not files:
+                continue
+            if i == 0:
+                iters = self._position_run(level, files, probe, account)
+            else:
+                iters = [
+                    self._get_reader(f.number, account).iter_all(account)
+                    for f in files
+                ]
+            yield from _merge_run(iters)
+
+    def _position_run(
+        self,
+        level: int,
+        files: List[FileMetadata],
+        probe: InternalKey,
+        account: IoAccount,
+    ) -> List[Iterator[Entry]]:
+        """Iterators over ``files`` positioned at ``probe``."""
+        return [self._get_reader(f.number, account).seek(probe, account) for f in files]
+
+    def _table_iterators_reverse(
+        self, bound: Optional[bytes], account: IoAccount, pinned: List[int]
+    ) -> List[Iterator[Entry]]:
+        """Descending entry iterators over keys <= ``bound`` (None = all),
+        pinned like :meth:`_table_iterators`."""
+        levels = [
+            [[meta]]
+            for meta in self._level0_files()
+            if bound is None or meta.smallest.user_key <= bound
+        ]
+        for level in range(1, self._level_count()):
+            runs = self._runs_down_to(level, bound)
+            if runs:
+                levels.append(runs)
+        iters: List[Iterator[Entry]] = []
+        for runs in levels:
+            self._pin_runs(runs, pinned)
+            iters.append(self._runs_iter_reverse(runs, bound, account))
+        return iters
+
+    def _runs_iter_reverse(
+        self, runs: List[List[FileMetadata]], bound: Optional[bytes], account: IoAccount
+    ) -> Iterator[Entry]:
+        for files in runs:
+            yield from _merge_run(
+                [
+                    self._get_reader(f.number, account).iter_reverse(
+                        account, max_user_key=bound
+                    )
+                    for f in files
+                ],
+                reverse=True,
+            )
+
     def _resolve_value(self, value, kind: int, account: IoAccount) -> bytes:
-        """Materialize one result value, chasing a value-log pointer."""
+        """Materialize one result value, chasing a value-log pointer.
+
+        bytes() copies zero-copy (memoryview) sstable values out; it is a
+        no-op for memtable values, which are bytes already.
+        """
         if kind == KIND_VPTR:
             assert self._vlog is not None
             return self._vlog.read_value(
@@ -2101,11 +2331,12 @@ class LSMStoreBase(KeyValueStore):
         snapshot = snap.sequence if snap is not None else self._last_sequence
         iters: List[Iterator[Entry]] = [self._mem.seek(start)]
         iters.extend(imm.seek(start) for imm, _ in self._imm)
-        iters.extend(self._table_iterators(start, acct))
+        # Pin the sstables and the value log for the generator's lifetime:
+        # consumer code between yields may trigger compactions (and value
+        # log GC) that would otherwise delete what this scan still reads.
+        pinned: List[int] = []
+        iters.extend(self._table_iterators(start, acct, pinned))
         merged = merging_iterator(iters, cpu=self.cpu, account=acct)
-        # Pin the value log for the generator's lifetime: consumer code
-        # between yields may trigger compactions whose GC would otherwise
-        # delete a segment this scan still has pointers into.
         vlog = self._vlog
         if vlog is not None:
             vlog.pin()
@@ -2119,17 +2350,11 @@ class LSMStoreBase(KeyValueStore):
                 prev = key.user_key
                 if key.kind == KIND_DELETE:
                     continue
-                if key.kind == KIND_VPTR:
-                    yield key.user_key, vlog.read_value(
-                        ValuePointer.decode(bytes(value)), acct
-                    )
-                    continue
-                # bytes() materializes zero-copy (memoryview) sstable
-                # values; a no-op for memtable values (bytes already).
-                yield key.user_key, bytes(value)
+                yield key.user_key, self._resolve_value(value, key.kind, acct)
         finally:
             if vlog is not None:
                 vlog.unpin()
+            self._unpin_files(pinned)
 
     def _visible_entries_reverse(
         self, start: Optional[bytes], snap: Optional[Snapshot] = None
@@ -2140,14 +2365,13 @@ class LSMStoreBase(KeyValueStore):
         one user key the versions arrive oldest first; the newest visible
         one is decided when the user key changes.
         """
-        import heapq as _heapq
-
         acct = self._user_acct
         snapshot = snap.sequence if snap is not None else self._last_sequence
         iters: List[Iterator[Entry]] = [self._mem.reverse_iter(start)]
         iters.extend(imm.reverse_iter(start) for imm, _ in self._imm)
-        iters.extend(self._table_iterators_reverse(start, acct))
-        merged = _heapq.merge(*iters, key=lambda e: e[0], reverse=True)
+        pinned: List[int] = []
+        iters.extend(self._table_iterators_reverse(start, acct, pinned))
+        merged = heapq.merge(*iters, key=_entry_key, reverse=True)
         vlog = self._vlog
         if vlog is not None:
             vlog.pin()
@@ -2157,12 +2381,8 @@ class LSMStoreBase(KeyValueStore):
 
             def emit(entry: Optional[Entry]):
                 if entry is not None and entry[0].kind != KIND_DELETE:
-                    if entry[0].kind == KIND_VPTR:
-                        return entry[0].user_key, vlog.read_value(
-                            ValuePointer.decode(bytes(entry[1])), acct
-                        )
-                    # bytes() materializes zero-copy sstable memoryviews.
-                    return entry[0].user_key, bytes(entry[1])
+                    ikey, val = entry
+                    return ikey.user_key, self._resolve_value(val, ikey.kind, acct)
                 return None
 
             for key, value in merged:
@@ -2184,12 +2404,7 @@ class LSMStoreBase(KeyValueStore):
         finally:
             if vlog is not None:
                 vlog.unpin()
-
-    def _table_iterators_reverse(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        """Descending-order entry iterators over persistent state."""
-        raise NotImplementedError(f"{type(self).__name__} cannot iterate backward")
+            self._unpin_files(pinned)
 
     def _note_seek(self) -> None:
         """Hook for seek-triggered compaction policies."""
@@ -2224,8 +2439,7 @@ class LSMStoreBase(KeyValueStore):
         )
         self._manifest.append(edit, acct)
         set_current(self.storage, manifest_name, acct, self.prefix)
-        if self.options.wal_enabled:
-            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
+        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
 
     def _recover(self, manifest_name: str, acct: IoAccount) -> None:
         log_number = 0
@@ -2275,8 +2489,7 @@ class LSMStoreBase(KeyValueStore):
             self._vlog.recover(vlog_dead, vlog_deleted)
         self._replay_wals(log_number, acct)
         self._wal_number = self._alloc_file_number()
-        if self.options.wal_enabled:
-            self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
+        self._wal = LogWriter(self.storage, self._wal_name(self._wal_number))
         edit = VersionEdit(
             last_sequence=self._last_sequence,
             next_file_number=self._next_file_number,

@@ -16,16 +16,25 @@ nearly free for LSM but not for FLSM (paper section 4.5).
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.engines.base import CompactionJob, Entry, LSMStoreBase
-from repro.memtable.memtable import GetResult
-from repro.sim.storage import IoAccount
-from repro.util.keys import InternalKey, KIND_SEEK, MAX_SEQUENCE
-from repro.util.murmur import murmur3_64
+from repro.engines.base import CompactionJob, LSMStoreBase
 from repro.version import VersionEdit
 from repro.version.files import FileMetadata
 from repro.version.manifest import GUARD_NONE
+
+
+def _first_reaching(files: List[FileMetadata], key: bytes) -> int:
+    """Index of the first file of a disjoint level whose range reaches
+    ``key`` (``len(files)`` when every file lies below it)."""
+    lo, hi = 0, len(files)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if files[mid].largest.user_key < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class LeveledLSMStore(LSMStoreBase):
@@ -57,13 +66,6 @@ class LeveledLSMStore(LSMStoreBase):
 
     def level_sizes(self) -> List[int]:
         return [sum(f.file_size for f in level) for level in self._levels]
-
-    def sstable_file_numbers(self) -> List[int]:
-        return [f.number for level in self._levels for f in level]
-
-    def sstable_sizes(self) -> List[int]:
-        """Sizes of all live sstables (Table 5.1 input)."""
-        return [f.file_size for level in self._levels for f in level]
 
     def files_per_level(self) -> List[int]:
         return [len(level) for level in self._levels]
@@ -98,229 +100,43 @@ class LeveledLSMStore(LSMStoreBase):
                 self.executor.wait_all()
 
     # ==================================================================
-    # Reads
+    # Read-path hooks: below Level 0 each file is a run of its own
     # ==================================================================
-    def _get_from_tables(self, key: bytes, snapshot: int, account: IoAccount) -> GetResult:
-        # One body for both the traced and untraced paths (an extra call
-        # per get is measurable); the try/finally is free when nothing
-        # raises.
-        trc = self.tracer
-        span = trc.span("table.search") if trc is not None else None
-        try:
-            # Level 0: files may overlap arbitrarily (e.g. after RepairDB
-            # placed everything there), so the newest matching version
-            # across all candidates wins, decided by sequence number.
-            # One interned probe key serves every table probed below, and
-            # one murmur digest serves every bloom filter screened.
-            probe = InternalKey(key, min(snapshot, MAX_SEQUENCE), KIND_SEEK)
-            kh = murmur3_64(key)
-            get_reader = self._get_reader
-            probed = 0
-            bloom_skipped = 0
-            best: Optional[GetResult] = None
-            level_probed = level_skipped = 0
-            for meta in self._levels[0]:
-                if not meta.overlaps(key, key):
-                    continue
-                reader = get_reader(meta.number, account)
-                if not reader.may_contain(key, account, kh):
-                    level_skipped += 1
-                    continue
-                level_probed += 1
-                result = reader.get(key, snapshot, account, probe)
-                if result.found and (best is None or result.sequence > best.sequence):
-                    best = result
-            if level_skipped:
-                self._probe_bloom[0] += level_skipped
-                bloom_skipped += level_skipped
-            if level_probed:
-                self._probe_files[0] += level_probed
-                probed += level_probed
-            if best is not None:
-                if span is not None:
-                    span.set(
-                        level=0,
-                        files_probed=probed,
-                        bloom_skipped=bloom_skipped,
-                        found=True,
-                    )
-                return best
-            # Deeper levels: at most one candidate file each.
-            for level in range(1, len(self._levels)):
-                files = self._levels[level]
-                if not files:
-                    continue
-                account.charge(
-                    self.cpu.charge("level_binary_search", self.cpu.level_binary_search)
-                )
-                meta = self._find_file(files, key)
-                if meta is None:
-                    continue
-                reader = get_reader(meta.number, account)
-                if not reader.may_contain(key, account, kh):
-                    self._probe_bloom[level] += 1
-                    bloom_skipped += 1
-                    continue
-                self._probe_files[level] += 1
-                probed += 1
-                result = reader.get(key, snapshot, account, probe)
-                if result.found:
-                    if span is not None:
-                        span.set(
-                            level=level,
-                            files_probed=probed,
-                            bloom_skipped=bloom_skipped,
-                            found=True,
-                        )
-                    return result
-            if span is not None:
-                span.set(files_probed=probed, bloom_skipped=bloom_skipped, found=False)
-            return GetResult(False, False, None)
-        except BaseException as exc:
-            if span is not None:
-                span.attrs.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            if span is not None:
-                span.end()
+    def _level0_files(self) -> List[FileMetadata]:
+        return self._levels[0]
 
-    @staticmethod
-    def _find_file(files: List[FileMetadata], key: bytes) -> Optional[FileMetadata]:
-        """The single file in a disjoint level that may contain ``key``."""
-        lo, hi = 0, len(files)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if files[mid].largest.user_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(files):
+    def _level_count(self) -> int:
+        return len(self._levels)
+
+    def _run_covering(self, level: int, key: bytes) -> Optional[List[FileMetadata]]:
+        files = self._levels[level]
+        if not files:
             return None
-        meta = files[lo]
-        return meta if meta.smallest.user_key <= key else None
+        idx = _first_reaching(files, key)
+        return files[idx : idx + 1]
 
-    def _table_iterators(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        start_key = start if start is not None else b""
-        probe = InternalKey(start_key, MAX_SEQUENCE, KIND_SEEK)
-        iters: List[Iterator[Entry]] = []
-        touched: List[FileMetadata] = []
-        for meta in list(self._levels[0]):
-            if meta.largest.user_key < start_key:
-                continue
-            touched.append(meta)
-            iters.append(self._file_iter(meta, probe, account))
-        for level in range(1, len(self._levels)):
-            files = list(self._levels[level])
-            if not files:
-                continue
-            idx = self._file_index_for(files, start_key)
-            if idx >= len(files):
-                continue
-            touched.append(files[idx])
-            iters.append(self._level_iter(files, idx, probe, account))
-        self._charge_seek_costs(touched, account)
-        return iters
+    def _runs_from(self, level: int, start: bytes) -> List[List[FileMetadata]]:
+        files = self._levels[level]
+        return [[f] for f in files[_first_reaching(files, start) :]]
 
-    def _charge_seek_costs(self, metas: List[FileMetadata], account: IoAccount) -> None:
-        if metas:
-            account.charge(
-                self.cpu.charge(
-                    "iterator_seek",
-                    self.cpu.iterator_seek_per_table * len(metas),
-                )
-            )
-        for meta in metas:
+    def _runs_down_to(
+        self, level: int, bound: Optional[bytes]
+    ) -> List[List[FileMetadata]]:
+        return [
+            [f]
+            for f in reversed(self._levels[level])
+            if bound is None or f.smallest.user_key <= bound
+        ]
+
+    def _note_positioned_run(
+        self, level: int, start: bytes, files: List[FileMetadata]
+    ) -> None:
+        # LevelDB's seek-triggered compaction: a file positioned by enough
+        # seeks becomes a compaction candidate.
+        for meta in files:
             meta.allowed_seeks -= 1
             if meta.allowed_seeks == 0:
-                level = self._level_of(meta.number)
-                if level is not None:
-                    self._seek_overflow.append((level, meta))
-
-    @staticmethod
-    def _file_index_for(files: List[FileMetadata], key: bytes) -> int:
-        lo, hi = 0, len(files)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if files[mid].largest.user_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _file_iter(
-        self, meta: FileMetadata, probe: InternalKey, account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.seek(probe, account)
-        finally:
-            self._unref_file(meta.number)
-
-    def _level_iter(
-        self,
-        files: List[FileMetadata],
-        idx: int,
-        probe: InternalKey,
-        account: IoAccount,
-    ) -> Iterator[Entry]:
-        for number in (f.number for f in files[idx:]):
-            self._ref_file(number)
-        try:
-            first = True
-            for meta in files[idx:]:
-                reader = self._get_reader(meta.number, account)
-                if first:
-                    yield from reader.seek(probe, account)
-                    first = False
-                else:
-                    yield from reader.iter_all(account)
-        finally:
-            for number in (f.number for f in files[idx:]):
-                self._unref_file(number)
-
-    def _table_iterators_reverse(
-        self, start: Optional[bytes], account: IoAccount
-    ) -> List[Iterator[Entry]]:
-        bound = start  # None = unbounded
-        iters: List[Iterator[Entry]] = []
-        for meta in list(self._levels[0]):
-            if bound is not None and meta.smallest.user_key > bound:
-                continue
-            iters.append(self._file_iter_reverse(meta, bound, account))
-        for level in range(1, len(self._levels)):
-            files = list(self._levels[level])
-            if not files:
-                continue
-            iters.append(self._level_iter_reverse(files, bound, account))
-        return iters
-
-    def _file_iter_reverse(
-        self, meta: FileMetadata, bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        self._ref_file(meta.number)
-        try:
-            reader = self._get_reader(meta.number, account)
-            yield from reader.iter_reverse(account, max_user_key=bound)
-        finally:
-            self._unref_file(meta.number)
-
-    def _level_iter_reverse(
-        self, files: List[FileMetadata], bound: Optional[bytes], account: IoAccount
-    ) -> Iterator[Entry]:
-        for number in (f.number for f in files):
-            self._ref_file(number)
-        try:
-            for meta in reversed(files):
-                if bound is not None and meta.smallest.user_key > bound:
-                    continue
-                reader = self._get_reader(meta.number, account)
-                yield from reader.iter_reverse(account, max_user_key=bound)
-        finally:
-            for number in (f.number for f in files):
-                self._unref_file(number)
+                self._seek_overflow.append((level, meta))
 
     # ==================================================================
     # Compaction
@@ -381,7 +197,7 @@ class LeveledLSMStore(LSMStoreBase):
         # Priority 3: seek-triggered compaction.
         while self._seek_overflow:
             level, meta = self._seek_overflow.pop(0)
-            if meta.number in self._busy or self._level_of(meta.number) != level:
+            if meta.number in self._busy or meta not in self._levels[level]:
                 continue
             if level >= len(self._levels) - 1:
                 continue
@@ -516,12 +332,6 @@ class LeveledLSMStore(LSMStoreBase):
     def _is_bottom(self, level: int) -> bool:
         """True when no live data exists below ``level``."""
         return all(not self._levels[l] for l in range(level + 1, len(self._levels)))
-
-    def _level_of(self, number: int) -> Optional[int]:
-        for level, files in enumerate(self._levels):
-            if any(f.number == number for f in files):
-                return level
-        return None
 
     def force_full_compaction(self) -> None:
         """LevelDB's ``CompactRange``: merge every level into the next

@@ -42,7 +42,6 @@ class StoreOptions:
     # --- write path ------------------------------------------------------
     memtable_bytes: int = 64 * KiB
     max_immutable_memtables: int = 2
-    wal_enabled: bool = True
     sync_writes: bool = False
 
     # --- shape of the level hierarchy -------------------------------------

@@ -189,6 +189,20 @@ class TestCompactionMechanics:
             > db_seq.stats().write_amplification
         )
 
+    def test_seeks_count_down_allowed_seeks_of_positioned_files(self, env):
+        db = make_store("hyperleveldb", env)
+        fill(db, 2500, seed=13)
+        db.wait_idle()
+        level = next(l for l in range(1, len(db._levels)) if db._levels[l])
+        target, untouched = db._levels[level][0], db._levels[level][-1]
+        budget = untouched.allowed_seeks
+        for _ in range(target.allowed_seeks):
+            with db.seek(target.smallest.user_key):
+                pass
+        assert target.allowed_seeks == 0
+        assert (level, target) in db._seek_overflow
+        assert untouched.allowed_seeks == budget  # never the first run
+
     def test_compaction_trace_records_rewrites(self, env):
         db = make_store("leveldb", env)
         db.compaction_trace = []
